@@ -13,6 +13,13 @@ BENCH_R ?= 0.0025
 # noisier runners.
 BENCH_TOLERANCE ?= 0.25
 
+# Every checked-in BENCH baseline records gomaxprocs 1, and benchguard
+# refuses to compare runs whose GOMAXPROCS differs, so every command
+# that measures against or regenerates a baseline runs under one P,
+# whatever the machine's CPU count. discload passes it on to the
+# discserve it spawns.
+PIN_PROCS = GOMAXPROCS=1
+
 # bench-serve workload: must match the checked-in BENCH_SERVE.json
 # identity (n/dim/radius/seed/workers/duration/mix are all part of it —
 # benchguard refuses to compare differing serve workloads).
@@ -46,11 +53,11 @@ lint:
 ## shift measured on the baseline hardware).
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x -timeout 25m ./...
-	$(GO) run ./cmd/discbench -exp perf -n $(BENCH_N) -r $(BENCH_R) -format=json > BENCH_PR5.json
+	$(PIN_PROCS) $(GO) run ./cmd/discbench -exp perf -n $(BENCH_N) -r $(BENCH_R) -format=json > BENCH_PR5.json
 	@cat BENCH_PR5.json
-	$(GO) run ./cmd/discbench -exp stream -n $(BENCH_N) -r $(BENCH_R) -format=json > BENCH_PR6.json
+	$(PIN_PROCS) $(GO) run ./cmd/discbench -exp stream -n $(BENCH_N) -r $(BENCH_R) -format=json > BENCH_PR6.json
 	@cat BENCH_PR6.json
-	$(GO) run ./cmd/discbench -exp highdim -n $(BENCH_N) -format=json > BENCH_PR7.json
+	$(PIN_PROCS) $(GO) run ./cmd/discbench -exp highdim -n $(BENCH_N) -format=json > BENCH_PR7.json
 	@cat BENCH_PR7.json
 	$(MAKE) bench-serve
 
@@ -66,7 +73,7 @@ bench:
 bench-serve:
 	$(GO) build -o bin/discserve ./cmd/discserve
 	$(GO) build -o bin/discload ./cmd/discload
-	./bin/discload -spawn ./bin/discserve -n $(SERVE_N) -workers $(SERVE_WORKERS) \
+	$(PIN_PROCS) ./bin/discload -spawn ./bin/discserve -n $(SERVE_N) -workers $(SERVE_WORKERS) \
 		-duration $(SERVE_DURATION) -out BENCH_SERVE.json -metrics-out serve-metrics.prom
 	@cat BENCH_SERVE.json
 
@@ -95,13 +102,13 @@ bench-guard:
 	$(GO) test ./internal/core -run ZeroAlloc -v -count=1
 	@$(GO) test -run '^$$' -bench='Select|Neighbors|GreedyDisC' -benchtime=1x -benchmem -timeout 20m ./... > bench-guard.txt 2>&1; \
 	status=$$?; cat bench-guard.txt; exit $$status
-	$(GO) run ./cmd/discbench -exp perf -n $(BENCH_N) -r $(BENCH_R) -format=json > bench-current.json
-	$(GO) run ./cmd/discbench -exp snapshot -n $(BENCH_N) -r $(BENCH_R) -format=json > snapshot-bench.json
-	$(GO) run ./cmd/discbench -exp stream -n $(BENCH_N) -r $(BENCH_R) -format=json > stream-bench.json
-	$(GO) run ./cmd/discbench -exp highdim -n $(BENCH_N) -format=json > highdim-bench.json
+	$(PIN_PROCS) $(GO) run ./cmd/discbench -exp perf -n $(BENCH_N) -r $(BENCH_R) -format=json > bench-current.json
+	$(PIN_PROCS) $(GO) run ./cmd/discbench -exp snapshot -n $(BENCH_N) -r $(BENCH_R) -format=json > snapshot-bench.json
+	$(PIN_PROCS) $(GO) run ./cmd/discbench -exp stream -n $(BENCH_N) -r $(BENCH_R) -format=json > stream-bench.json
+	$(PIN_PROCS) $(GO) run ./cmd/discbench -exp highdim -n $(BENCH_N) -format=json > highdim-bench.json
 	$(GO) build -o bin/discserve ./cmd/discserve
 	$(GO) build -o bin/discload ./cmd/discload
-	./bin/discload -spawn ./bin/discserve -n $(SERVE_N) -workers $(SERVE_WORKERS) \
+	$(PIN_PROCS) ./bin/discload -spawn ./bin/discserve -n $(SERVE_N) -workers $(SERVE_WORKERS) \
 		-duration $(SERVE_DURATION) -out serve-current.json -metrics-out serve-metrics.prom
 	$(GO) run ./cmd/benchguard -baseline BENCH_PR5.json -current bench-current.json \
 		-snapshot-baseline BENCH_PR4.json -snapshot-current snapshot-bench.json \
@@ -116,7 +123,7 @@ bench-guard:
 ## the checked-in baseline with
 ## `make snapshot-bench && cp snapshot-bench.json BENCH_PR4.json`.
 snapshot-bench:
-	$(GO) run ./cmd/discbench -exp snapshot -n $(BENCH_N) -r $(BENCH_R) -format=json > snapshot-bench.json
+	$(PIN_PROCS) $(GO) run ./cmd/discbench -exp snapshot -n $(BENCH_N) -r $(BENCH_R) -format=json > snapshot-bench.json
 	@cat snapshot-bench.json
 
 ## kernel-props: the kernel/filter property suites (bit-identity of the

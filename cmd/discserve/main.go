@@ -9,7 +9,9 @@
 //	curl -X POST localhost:8080/v1/datasets -d '{"name":"demo","points":[[0.1,0.2],[0.8,0.9]]}'
 //	curl -X POST localhost:8080/v1/datasets/demo/select -d '{"radius":0.3}'
 //	curl -X POST localhost:8080/v1/datasets/demo/snapshot
-//	curl -X POST localhost:8080/v1/results/r1/zoom -d '{"radius":0.1}'
+//	# the select answers with "id":"AQRkZW1vAD_TMzMzMzMz", a content key:
+//	# the same request always gets the same id
+//	curl -X POST localhost:8080/v1/results/AQRkZW1vAD_TMzMzMzMz/zoom -d '{"radius":0.1}'
 //	curl localhost:8080/healthz
 //	curl localhost:8080/readyz
 //	curl localhost:8080/metrics

@@ -25,6 +25,30 @@ var (
 		"Requests refused with 503 while the server was still recovering.")
 )
 
+// cacheStats are the result cache's series (see cache.go). Servers
+// share the process-wide ones; tests pass a private registry.
+type cacheStats struct {
+	hits, misses, evictions, coalesced *telemetry.Counter
+	bytes, entries                     *telemetry.Gauge
+}
+
+func newCacheStats(reg *telemetry.Registry) cacheStats {
+	return cacheStats{
+		hits: reg.Counter("disc_result_cache_hits_total",
+			"Batch answers (select, zoom, localzoom, result fetch) served from the result cache."),
+		misses: reg.Counter("disc_result_cache_misses_total",
+			"Batch answers computed because the result cache did not hold them."),
+		evictions: reg.Counter("disc_result_cache_evictions_total",
+			"Entries evicted from the result cache to stay within its byte budget."),
+		coalesced: reg.Counter("disc_result_cache_coalesced_total",
+			"Cache misses that waited for an identical in-flight computation instead of computing."),
+		bytes: reg.Gauge("disc_result_cache_bytes",
+			"Estimated bytes held by the result cache."),
+		entries: reg.Gauge("disc_result_cache_entries",
+			"Entries held by the result cache."),
+	}
+}
+
 // statusClasses are the code label values, indexed by status/100 - 2.
 var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
 

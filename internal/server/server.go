@@ -20,6 +20,20 @@
 //	POST /v1/results/{id}/localzoom      {center, radius} -> local view
 //	GET  /healthz                         liveness probe
 //
+// Result IDs are content keys, not handles: an ID encodes the request
+// lineage that produced the result — dataset, algorithm and radius of
+// the select, then the radius of each zoom (see resultid.go) — so
+// identical requests get identical IDs. Results live in a byte-bounded
+// LRU shared by all datasets (see cache.go); one evicted, or never seen
+// by this process, is recomputed from its ID on the next request, and
+// is bit-identical to the first computation because selections are
+// deterministic. Concurrent identical misses compute once. A cache hit
+// waits on no computation, and computations serialise only per
+// dataset, so datasets never block each other.
+//
+// Request bodies are decoded strictly: unknown fields and trailing data
+// are 400s.
+//
 // Live maintainers (incremental r-DisC under inserts/deletes, backed by
 // disc.Updater — grid-servable metrics only):
 //
@@ -48,6 +62,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -59,14 +74,13 @@ import (
 	disc "github.com/discdiversity/disc"
 	"github.com/discdiversity/disc/internal/manager"
 	"github.com/discdiversity/disc/internal/snap"
+	"github.com/discdiversity/disc/internal/telemetry"
 	"github.com/discdiversity/disc/internal/vfs"
 )
 
 // Server is the HTTP handler. Create with New; it is safe for concurrent
 // use.
 type Server struct {
-	mux sync.Mutex
-
 	snapshotDir string
 
 	// Live-durability configuration (WithLiveDir and friends): when
@@ -94,9 +108,12 @@ type Server struct {
 	ready  atomic.Bool
 	reqSeq atomic.Uint64
 
+	// Batch datasets, and the content-addressed cache of their
+	// answers. Handlers hold dsMu only for map access; computations
+	// serialise per dataset on datasetState.mu.
+	dsMu     sync.RWMutex
 	datasets map[string]*datasetState
-	results  map[string]*resultState
-	nextID   int
+	cache    *resultCache
 
 	// mgr owns every live maintainer's lifecycle: supervised recovery,
 	// corruption quarantine, degraded-mode reads. Built by New after
@@ -204,7 +221,11 @@ func (s *Server) logger() *slog.Logger {
 	return slog.Default()
 }
 
+// datasetState is one batch dataset. Its fields other than mu are set
+// at creation and never change.
 type datasetState struct {
+	// mu serialises computations on div (see locked).
+	mu     sync.Mutex
 	name   string
 	metric string
 	div    *disc.Diversifier
@@ -213,18 +234,12 @@ type datasetState struct {
 	size   int
 }
 
-type resultState struct {
-	id      string
-	dataset *datasetState
-	res     *disc.Result
-}
-
 // New creates an empty server.
 func New(opts ...Option) *Server {
 	s := &Server{
 		liveFsync: disc.FsyncAlways,
 		datasets:  make(map[string]*datasetState),
-		results:   make(map[string]*resultState),
+		cache:     newResultCache(resultCacheBudget, newCacheStats(telemetry.Default())),
 	}
 	s.ready.Store(true)
 	for _, opt := range opts {
@@ -307,8 +322,8 @@ func (s *Server) LoadSnapshot(name string, r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	s.mux.Lock()
-	defer s.mux.Unlock()
+	s.dsMu.Lock()
+	defer s.dsMu.Unlock()
 	if _, exists := s.datasets[name]; exists {
 		return fmt.Errorf("server: dataset %q already exists", name)
 	}
@@ -322,11 +337,8 @@ func (s *Server) LoadSnapshot(name string, r io.Reader) error {
 	return nil
 }
 
-// handleHealthz is the liveness probe. Deliberately lock-free: the
-// select/zoom handlers hold the server mutex for their full duration
-// (seconds on large datasets), and a probe that queued behind them
-// would time out exactly when the server is busy — the opposite of
-// what an orchestrator should see.
+// handleHealthz is the liveness probe. It takes no lock, so it answers
+// however busy the datasets are.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -342,9 +354,9 @@ type readyzBody struct {
 
 // handleReadyz is the readiness probe: 200 once the server may receive
 // traffic, 503 while boot-time WAL recovery is still replaying (see
-// SetReady). It never takes the server's select lock, for the same
-// reason as handleHealthz (the per-dataset status reads take only the
-// manager's brief registry locks).
+// SetReady). Like handleHealthz it waits on no computation: the
+// per-dataset status reads take only the manager's brief registry
+// locks.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	body := readyzBody{Status: "ready"}
 	if states := s.mgr.States(); len(states) > 0 {
@@ -358,11 +370,24 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, body)
 }
 
-// decodeJSON decodes a request body, counting bodies rejected by the
-// size cap (the 400 mapping in each handler's error path is unchanged —
-// the counter is how operators see a client hitting the limit).
+// decodeJSON decodes a request body strictly: a field the request type
+// does not have, or anything but whitespace after the JSON value, is an
+// error (each handler maps it to 400), so a misspelt field never
+// decodes silently to its zero value. Bodies rejected by the size cap
+// are counted — the counter is how operators see a client hitting the
+// limit.
 func (s *Server) decodeJSON(r *http.Request, dst any) error {
-	err := json.NewDecoder(r.Body).Decode(dst)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(dst)
+	if err == nil {
+		var extra json.RawMessage
+		if err = dec.Decode(&extra); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("unexpected data after the JSON body")
+		}
+	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		metBodyCap.Inc()
@@ -387,26 +412,27 @@ func (s *Server) handleSaveSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mux.Lock()
-	defer s.mux.Unlock()
 	if s.snapshotDir == "" {
 		writeError(w, http.StatusBadRequest, "snapshot directory not configured (start discserve with -snapshot)")
 		return
 	}
-	ds, ok := s.datasets[name]
+	ds, ok := s.dataset(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
 		return
 	}
 	path := filepath.Join(s.snapshotDir, ds.name+".discsnap")
 	var size int64
-	err := snap.WriteFileAtomicFS(s.storageFS, path, func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		if err := ds.div.WriteSnapshot(cw); err != nil {
-			return err
-		}
-		size = cw.n
-		return nil
+	var err error
+	ds.locked(func() {
+		err = snap.WriteFileAtomicFS(s.storageFS, path, func(w io.Writer) error {
+			cw := &countingWriter{w: w}
+			if err := ds.div.WriteSnapshot(cw); err != nil {
+				return err
+			}
+			size = cw.n
+			return nil
+		})
 	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
@@ -435,6 +461,19 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(body)
+}
+
+// writeBody writes a pre-encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
+// encodeBody encodes v exactly as writeJSON would write it.
+func encodeBody(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	return append(b, '\n'), err
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -527,8 +566,8 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mux.Lock()
-	defer s.mux.Unlock()
+	s.dsMu.Lock()
+	defer s.dsMu.Unlock()
 	if _, exists := s.datasets[req.Name]; exists {
 		writeError(w, http.StatusConflict, "dataset %q already exists", req.Name)
 		return
@@ -546,8 +585,8 @@ func (s *Server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, _ *http.Request) {
-	s.mux.Lock()
-	defer s.mux.Unlock()
+	s.dsMu.RLock()
+	defer s.dsMu.RUnlock()
 	infos := make([]datasetInfo, 0, len(s.datasets))
 	for _, ds := range s.datasets {
 		infos = append(infos, datasetInfo{Name: ds.name, Metric: ds.metric, Size: ds.size, Dim: ds.dim})
@@ -561,9 +600,7 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	ds, ok := s.datasets[name]
+	ds, ok := s.dataset(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
 		return
@@ -587,25 +624,22 @@ type resultBody struct {
 	Accesses  int64    `json:"accesses"`
 }
 
-func algorithmByName(name string) (disc.Algorithm, error) {
-	switch name {
-	case "", "greedy":
-		return disc.AlgorithmGreedy, nil
-	case "basic":
-		return disc.AlgorithmBasic, nil
-	case "white-greedy":
-		return disc.AlgorithmGreedyWhite, nil
-	case "lazy-grey":
-		return disc.AlgorithmLazyGrey, nil
-	case "lazy-white":
-		return disc.AlgorithmLazyWhite, nil
-	case "coverage":
-		return disc.AlgorithmCoverage, nil
-	case "fast-coverage":
-		return disc.AlgorithmFastCoverage, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", name)
-	}
+// dataset returns the named batch dataset.
+func (s *Server) dataset(name string) (*datasetState, bool) {
+	s.dsMu.RLock()
+	defer s.dsMu.RUnlock()
+	ds, ok := s.datasets[name]
+	return ds, ok
+}
+
+// locked runs f holding the dataset's compute lock: a Diversifier
+// rebuilds its engine and tracks coverage in place, so computations on
+// one dataset take turns. Deferred, so a panicking computation cannot
+// leave the dataset locked.
+func (ds *datasetState) locked(f func()) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	f()
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
@@ -614,7 +648,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	alg, err := algorithmByName(req.Algorithm)
+	alg, err := algorithmCode(req.Algorithm)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -623,61 +657,119 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	ds, ok := s.datasets[name]
+	ds, ok := s.dataset(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown dataset %q", name)
 		return
 	}
-	res, err := ds.div.Select(req.Radius, disc.WithAlgorithm(alg))
-	if err != nil {
+	l := lineage{dataset: name, alg: alg, radii: []float64{canonRadius(req.Radius)}}
+	if err := l.check(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	rs := s.storeResultLocked(ds, res)
-	writeJSON(w, http.StatusCreated, s.resultBodyLocked(rs))
-}
-
-// storeResultLocked registers a result and assigns it an id. Caller holds
-// the lock.
-func (s *Server) storeResultLocked(ds *datasetState, res *disc.Result) *resultState {
-	s.nextID++
-	rs := &resultState{id: "r" + strconv.Itoa(s.nextID), dataset: ds, res: res}
-	s.results[rs.id] = rs
-	return rs
-}
-
-func (s *Server) resultBodyLocked(rs *resultState) resultBody {
-	ids := rs.res.SortedIDs()
-	body := resultBody{
-		ID:        rs.id,
-		Dataset:   rs.dataset.name,
-		Radius:    rs.res.Radius(),
-		Algorithm: rs.res.Algorithm(),
-		Size:      rs.res.Size(),
-		IDs:       ids,
-		Accesses:  rs.res.Accesses(),
+	res, err := s.result(ds, l)
+	if err != nil {
+		writeComputeError(w, err)
+		return
 	}
-	if rs.dataset.labels != nil {
+	writeJSON(w, http.StatusCreated, ds.resultBody(l.id(), res))
+}
+
+// result returns the cached result the lineage names, computing it —
+// and, for a zoom, its uncached ancestors — on a miss. No lock is held
+// while waiting for an ancestor, so concurrent lineages never deadlock.
+func (s *Server) result(ds *datasetState, l lineage) (*disc.Result, error) {
+	ent, err := s.cache.get(l.id(), func() (*cacheEntry, error) {
+		var res *disc.Result
+		var err error
+		if len(l.radii) == 1 {
+			ds.locked(func() {
+				res, err = ds.div.Select(l.radius(), disc.WithAlgorithm(algorithms[l.alg].alg))
+			})
+		} else {
+			var parent *disc.Result
+			if parent, err = s.result(ds, l.parent()); err != nil {
+				return nil, err
+			}
+			ds.locked(func() {
+				if r := l.radius(); r < parent.Radius() {
+					res, err = ds.div.ZoomIn(parent, r)
+				} else {
+					res, err = ds.div.ZoomOut(parent, r, disc.ZoomOutGreedyLargest)
+				}
+			})
+		}
+		if err != nil {
+			return nil, err
+		}
+		return newResultEntry(res, ds.size), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ent.res, nil
+}
+
+func (ds *datasetState) resultBody(id string, res *disc.Result) resultBody {
+	ids := res.SortedIDs()
+	body := resultBody{
+		ID:        id,
+		Dataset:   ds.name,
+		Radius:    res.Radius(),
+		Algorithm: res.Algorithm(),
+		Size:      res.Size(),
+		IDs:       ids,
+		Accesses:  res.Accesses(),
+	}
+	if ds.labels != nil {
 		body.Labels = make([]string, len(ids))
 		for i, id := range ids {
-			body.Labels[i] = rs.dataset.labels[id]
+			body.Labels[i] = ds.labels[id]
 		}
 	}
 	return body
 }
 
-func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	rs, ok := s.results[r.PathValue("id")]
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown result %q", r.PathValue("id"))
+// writeComputeError answers a failed computation: 400, since every
+// failure the library reports stems from the request, unless the
+// computation this request was coalesced onto panicked.
+func writeComputeError(w http.ResponseWriter, err error) {
+	if errors.Is(err, errComputePanicked) {
+		writeError(w, http.StatusInternalServerError, "internal error")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.resultBodyLocked(rs))
+	writeError(w, http.StatusBadRequest, "%v", err)
+}
+
+// resultFromPath resolves the {id} path value to its lineage and
+// dataset, answering 404 for an ID no request could have produced or
+// one naming an unknown dataset.
+func (s *Server) resultFromPath(w http.ResponseWriter, r *http.Request) (lineage, *datasetState, bool) {
+	id := r.PathValue("id")
+	l, err := parseResultID(id)
+	if err != nil {
+		writeError(w, http.StatusNotFound, "unknown result %q", id)
+		return lineage{}, nil, false
+	}
+	ds, ok := s.dataset(l.dataset)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown result %q: no dataset %q", id, l.dataset)
+		return lineage{}, nil, false
+	}
+	return l, ds, true
+}
+
+func (s *Server) handleGetResult(w http.ResponseWriter, r *http.Request) {
+	l, ds, ok := s.resultFromPath(w, r)
+	if !ok {
+		return
+	}
+	res, err := s.result(ds, l)
+	if err != nil {
+		writeComputeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, ds.resultBody(l.id(), res))
 }
 
 type zoomRequest struct {
@@ -690,30 +782,21 @@ func (s *Server) handleZoom(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	rs, ok := s.results[r.PathValue("id")]
+	parent, ds, ok := s.resultFromPath(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown result %q", r.PathValue("id"))
 		return
 	}
-	var zoomed *disc.Result
-	var err error
-	switch {
-	case req.Radius < rs.res.Radius():
-		zoomed, err = rs.dataset.div.ZoomIn(rs.res, req.Radius)
-	case req.Radius > rs.res.Radius():
-		zoomed, err = rs.dataset.div.ZoomOut(rs.res, req.Radius, disc.ZoomOutGreedyLargest)
-	default:
-		writeError(w, http.StatusBadRequest, "radius %g equals the current radius", req.Radius)
-		return
-	}
-	if err != nil {
+	l := parent.zoom(req.Radius)
+	if err := l.check(); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	nrs := s.storeResultLocked(rs.dataset, zoomed)
-	writeJSON(w, http.StatusCreated, s.resultBodyLocked(nrs))
+	res, err := s.result(ds, l)
+	if err != nil {
+		writeComputeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, ds.resultBody(l.id(), res))
 }
 
 type localZoomRequest struct {
@@ -731,49 +814,73 @@ type localZoomBody struct {
 	Labels          []string `json:"labels,omitempty"`
 }
 
+// localZoomKey is the cache key of a local zoom: its parent's ID, the
+// centre and the radius bits. Result IDs are base64url, so the "~"
+// separators keep the two key spaces apart.
+func localZoomKey(parentID string, center int, r float64) string {
+	return parentID + "~" + strconv.Itoa(center) + "~" + strconv.FormatUint(math.Float64bits(r), 16)
+}
+
 func (s *Server) handleLocalZoom(w http.ResponseWriter, r *http.Request) {
 	var req localZoomRequest
 	if err := s.decodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	s.mux.Lock()
-	defer s.mux.Unlock()
-	rs, ok := s.results[r.PathValue("id")]
+	pl, ds, ok := s.resultFromPath(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown result %q", r.PathValue("id"))
 		return
 	}
-	var lz *disc.LocalZoom
-	var err error
-	switch {
-	case req.Radius < rs.res.Radius():
-		lz, err = rs.dataset.div.LocalZoomIn(rs.res, req.Center, req.Radius)
-	case req.Radius > rs.res.Radius():
-		lz, err = rs.dataset.div.LocalZoomOut(rs.res, req.Center, req.Radius)
-	default:
-		writeError(w, http.StatusBadRequest, "radius %g equals the current radius", req.Radius)
+	radius := canonRadius(req.Radius)
+	if radius < 0 {
+		writeError(w, http.StatusBadRequest, "disc: invalid radius %g", radius)
 		return
 	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if radius == pl.radius() {
+		writeError(w, http.StatusBadRequest, "radius %g equals the current radius", radius)
 		return
 	}
-	body := localZoomBody{
-		Center:          lz.Center,
-		LocalRadius:     lz.LocalRadius,
-		RegionSize:      len(lz.Region),
-		Added:           lz.Added,
-		Removed:         lz.Removed,
-		Representatives: lz.Representatives,
-	}
-	if rs.dataset.labels != nil {
-		body.Labels = make([]string, len(lz.Representatives))
-		for i, id := range lz.Representatives {
-			body.Labels[i] = rs.dataset.labels[id]
+	ent, err := s.cache.get(localZoomKey(pl.id(), req.Center, radius), func() (*cacheEntry, error) {
+		parent, err := s.result(ds, pl)
+		if err != nil {
+			return nil, err
 		}
+		var lz *disc.LocalZoom
+		ds.locked(func() {
+			if radius < pl.radius() {
+				lz, err = ds.div.LocalZoomIn(parent, req.Center, radius)
+			} else {
+				lz, err = ds.div.LocalZoomOut(parent, req.Center, radius)
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		body := localZoomBody{
+			Center:          lz.Center,
+			LocalRadius:     lz.LocalRadius,
+			RegionSize:      len(lz.Region),
+			Added:           lz.Added,
+			Removed:         lz.Removed,
+			Representatives: lz.Representatives,
+		}
+		if ds.labels != nil {
+			body.Labels = make([]string, len(lz.Representatives))
+			for i, id := range lz.Representatives {
+				body.Labels[i] = ds.labels[id]
+			}
+		}
+		b, err := encodeBody(body)
+		if err != nil {
+			return nil, err
+		}
+		return newBodyEntry(b), nil
+	})
+	if err != nil {
+		writeComputeError(w, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, ent.body)
 }
 
 type createLiveRequest struct {
