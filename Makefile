@@ -132,10 +132,14 @@ snapshot-bench:
 ## SSE2 codegen) and GOAMD64=v3 (AVX/FMA-era codegen). The widened
 ## thresholds must hold whatever instruction selection the compiler
 ## picks; on non-amd64 hosts the variable is ignored and the suites
-## simply run twice.
+## simply run twice. The coverage-graph Restrict suites ride along: a
+## graph restricted to a smaller radius equals a fresh float32 join
+## there only while the pre-filter stays conservative at every radius.
 kernel-props:
 	GOAMD64=v1 $(GO) test ./internal/object -run 'RawBatch|Filter|Within|Float32|Float64' -count=1
+	GOAMD64=v1 $(GO) test ./internal/core -run Restrict -count=1
 	GOAMD64=v3 $(GO) test ./internal/object -run 'RawBatch|Filter|Within|Float32|Float64' -count=1
+	GOAMD64=v3 $(GO) test ./internal/core -run Restrict -count=1
 
 ## crash-props: the durability property suites under the race detector
 ## — the WAL's torn-tail/bit-flip/rotation invariants, the fault

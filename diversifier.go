@@ -86,12 +86,27 @@ type Diversifier struct {
 	// bit-identical to the one that wrote the snapshot.
 	capacity int
 	seed     uint64
-	// engine answers neighbourhood queries. The radius-dependent
-	// backends (IndexCoverageGraph, IndexGrid) are (re)built lazily per
-	// selection radius and are nil before the first Select; every other
-	// index is built once in New.
+	// engine answers neighbourhood queries; every index but the two
+	// radius-dependent ones is built once in New. For IndexGrid it is
+	// the grid engine, built lazily and re-bucketed per selection
+	// radius. For IndexCoverageGraph it is the retained graph: the
+	// widest coverage graph built so far (within maxRetainedGraphBytes),
+	// never queried itself. Each request gets an engine at exactly its
+	// radius derived from it by Restrict, without a join; only a request
+	// above its radius joins again, and that wider graph is retained in
+	// its place. Both are nil before the first Select or Prepare.
 	engine core.Engine
 }
+
+// maxRetainedGraphBytes caps the coverage-graph adjacency a Diversifier
+// retains between requests. A graph above it is still built and used
+// for the request that asked for it, but not kept, so one huge radius
+// cannot pin gigabytes for the life of the dataset.
+const maxRetainedGraphBytes = 64 << 20
+
+// retainedGraphCap is the cap in force: maxRetainedGraphBytes, a
+// variable only so tests can shrink it.
+var retainedGraphCap int64 = maxRetainedGraphBytes
 
 type options struct {
 	metric      Metric
@@ -324,37 +339,46 @@ func initialEngine(o options, flat *object.FlatDataset, points []Point) (core.En
 // Indexed returns the backend this diversifier queries.
 func (d *Diversifier) Indexed() Index { return d.index }
 
-// engineForRadius returns the engine answering queries at radius r. The
-// radius-dependent backends are (re)built lazily: for
-// IndexCoverageGraph the materialised graph is rebuilt at r when
-// rebuild is set and the cached graph was built for a different radius
-// — reusing the packed R-tree always, and the grid occupancy whenever
-// the new radius still fits its cell side (zooming in re-joins without
-// re-bucketing). For IndexGrid only the O(n) bucketing is radius-
-// dependent; it is reused as long as one cell ring covers r and
-// coarsened otherwise. With rebuild unset (the zoom and extension
-// paths) the cached engine is reused — both backends answer any radius
-// exactly, only the cost differs.
+// engineForRadius returns the engine an operation whose largest query
+// radius is r runs on. Every other backend answers any radius from its
+// one engine.
+//
+// For IndexCoverageGraph the engine is exactly at r, whatever came
+// before: a Restrict of the retained graph when r is within its radius
+// (no join, no distance evaluation), otherwise a join at r — Rebuild
+// over the retained graph's substrate, or a first build — whose graph
+// then becomes the retained one unless it exceeds retainedGraphCap.
+// Since the retained graph is never queried or modified after it is
+// published, an answer, its access count included, does not depend on
+// which radii earlier requests used.
+//
+// For IndexGrid only the O(n) bucketing is radius-dependent: with
+// rebuild set it is reused as long as one cell ring covers r and
+// coarsened otherwise; with rebuild unset (the zoom paths) the cached
+// grid is reused as is — it answers any radius exactly, only the cost
+// differs.
 func (d *Diversifier) engineForRadius(r float64, rebuild bool) (core.Engine, error) {
 	switch d.index {
 	case IndexCoverageGraph:
-		if g, ok := d.engine.(*core.ParallelGraphEngine); ok {
-			if !rebuild || g.Radius() == r {
-				return d.engine, nil
-			}
-			ng, err := g.Rebuild(r)
-			if err != nil {
-				return nil, err
-			}
-			d.engine = ng
-			return ng, nil
+		kept, _ := d.engine.(*core.ParallelGraphEngine)
+		if kept != nil && r <= kept.Radius() {
+			return kept.Restrict(r)
 		}
-		g, err := core.BuildParallelGraphEngineOn(d.flat, r, d.parallelism)
+		var g *core.ParallelGraphEngine
+		var err error
+		if kept != nil {
+			g, err = kept.Rebuild(r)
+		} else {
+			g, err = core.BuildParallelGraphEngineOn(d.flat, r, d.parallelism)
+		}
 		if err != nil {
 			return nil, err
 		}
+		if g.CSR().Bytes() > retainedGraphCap {
+			return g, nil
+		}
 		d.engine = g
-		return g, nil
+		return g.Clone(), nil
 	case IndexGrid:
 		if e, ok := d.engine.(*core.GridEngine); ok {
 			if rebuild {

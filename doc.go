@@ -97,8 +97,8 @@
 //     Manhattan, Chebyshev — not Hamming), and degrades on sparse data
 //     at large radii, where cells hold many non-neighbours the R-tree's
 //     tighter boxes would prune.
-//   - IndexCoverageGraph: materialises the entire r-coverage graph once
-//     per selection radius, then answers every neighbourhood query in
+//   - IndexCoverageGraph: materialises the entire r-coverage graph,
+//     then answers every neighbourhood query in
 //     O(degree) and hands Greedy-DisC its initial counts for free. The
 //     fastest choice when one radius is queried repeatedly — exactly
 //     the access pattern of the DisC heuristics. For grid-supported
@@ -109,9 +109,11 @@
 //     metrics fall back to parallel R-tree range queries. The adjacency
 //     is stored as CSR (one offsets array plus one packed, exactly
 //     sized neighbour array), so steady-state memory equals the edge
-//     count. Radii other than the build radius remain correct: smaller
-//     ones filter the adjacency lists (reusing the grid occupancy on
-//     Rebuild), larger ones fall back to the R-tree underneath.
+//     count. The Diversifier keeps only the widest graph it has built
+//     and derives the graph at any smaller radius from it by dropping
+//     the longer edges — no join, same graph bit for bit — so zooming
+//     and selecting across radii join only when a radius exceeds every
+//     earlier one.
 //
 // Rule of thumb: pick the coverage graph when you will run whole
 // selections (thousands of queries) at each radius and can afford the

@@ -4,7 +4,8 @@ package core
 // canonical 50k-point workload (see BENCH_PR3.json): the full engine
 // build and its three phases — R-tree packing, grid bucketing and the
 // cell-pair ε-join. Single-worker, so numbers are comparable across
-// machines regardless of core count.
+// machines regardless of core count. BenchmarkGraphRestrict sets the
+// join against deriving a narrower graph from a wider one.
 
 import (
 	"testing"
@@ -64,4 +65,38 @@ func BenchmarkGridJoin50k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGraphRestrict compares the two ways to get the coverage
+// graph at r = 0.15 of 1,000 128-d cosine float32 vectors (the embed
+// workload's shape): a single-worker flat join at r, and Restrict of a
+// graph already joined at R = 0.2.
+func BenchmarkGraphRestrict(b *testing.B) {
+	ds, err := dataset.Sphere(1000, 128, 1000/64, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	flat, err := object.Flatten32(ds.Points, object.Cosine{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const R, r = 0.2, 0.15
+	wide, err := BuildParallelGraphEngineOn(flat, R, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("FlatJoin", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := grid.FlatJoin(flat, r, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Restrict", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := wide.Restrict(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

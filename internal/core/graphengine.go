@@ -142,14 +142,73 @@ func BuildParallelGraphEngineOn(flat *object.FlatDataset, r float64, workers int
 }
 
 // Rebuild returns an engine over the same points with the adjacency
-// lists rebuilt for a different radius, reusing the radius-independent
+// lists re-joined for a different radius, reusing the radius-independent
 // substrate: the packed R-tree always, and on the grid path the grid
-// occupancy whenever the new radius still fits its cell side — so
-// zooming in re-joins without re-bucketing and zooming out pays only an
-// O(n) re-bucket. The substrate is shared with the receiver, which must
-// be discarded afterwards.
+// occupancy whenever the new radius still fits its cell side. The
+// receiver is left untouched and stays usable, but the two share the
+// substrate: on the R-tree path that includes the tree's pruning state,
+// so they must not run queries concurrently. For r <= Radius(),
+// Restrict derives the same graph without a join.
 func (g *ParallelGraphEngine) Rebuild(r float64) (*ParallelGraphEngine, error) {
 	return buildGraph(g.flat, g.tree, g.hash, g.scan, r, g.workers, g.flatsub)
+}
+
+// Restrict returns the coverage graph at radius r <= Radius(), derived
+// from the receiver without a join: since N_r(p) ⊆ N_R(p), it is the
+// receiver's adjacency with every entry above r dropped (grid.CSR.
+// Restrict), one O(edges) pass that evaluates no distance. Every
+// substrate stores the exact float64 distance of each edge and the
+// float32 pre-filter never drops a true neighbour, so the result equals
+// a fresh BuildParallelGraphEngineOn at r bit for bit — offsets, ids,
+// distances, degree counts and components. At r == Radius() the
+// adjacency, counts and any cached decomposition are shared, not
+// copied.
+//
+// The receiver is only read, so it can be kept as an immutable source
+// of engines for every radius up to its own. The derived engine shares
+// its substrate (see Rebuild) and starts with its own clean access and
+// coverage state; it keeps the receiver's scan order, which on the grid
+// path is the locality order of the receiver's bucketing.
+func (g *ParallelGraphEngine) Restrict(r float64) (*ParallelGraphEngine, error) {
+	if r < 0 || math.IsNaN(r) || r > g.radius {
+		return nil, fmt.Errorf("core: graph engine: cannot restrict a graph built at %g to radius %g", g.radius, r)
+	}
+	metGraphRestrictions.Inc()
+	d := g.Clone()
+	if r < g.radius {
+		d.radius, d.csr, d.comps = r, g.csr.Restrict(r), nil
+		d.counts = make([]int, g.flat.Len())
+		for i := range d.counts {
+			d.counts[i] = d.csr.Degree(i)
+		}
+	}
+	return d, nil
+}
+
+// Clone returns an engine over the receiver's graph — adjacency, degree
+// counts, cached decomposition and substrate shared, not copied — with
+// its own clean access and coverage state, so a caller can keep the
+// receiver unmodified while running queries on the clone.
+func (g *ParallelGraphEngine) Clone() *ParallelGraphEngine {
+	c := &ParallelGraphEngine{
+		flat:    g.flat,
+		tree:    g.tree,
+		hash:    g.hash,
+		flatsub: g.flatsub,
+		scan:    g.scan,
+		radius:  g.radius,
+		workers: g.workers,
+		csr:     g.csr,
+		counts:  g.counts,
+		comps:   g.comps,
+	}
+	if g.hash != nil {
+		c.scratch = grid.NewScratch(g.flat.Dim())
+	}
+	if g.tree != nil {
+		c.clamp = make([]float64, g.tree.Dim())
+	}
+	return c
 }
 
 // arenaChunk is the adjacency-arena block size (entries) each R-tree

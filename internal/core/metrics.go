@@ -11,6 +11,9 @@ var (
 		"Wall time of one greedy DisC selection (global heap or component-decomposed).")
 	metSelectComponents = telemetry.Default().Histogram(`disc_select_seconds{mode="components"}`, "")
 
+	metGraphRestrictions = telemetry.Default().Counter("disc_graph_restrictions_total",
+		"Coverage-graph engines derived from a wider graph by Restrict, without a join.")
+
 	metLiveInsert = telemetry.Default().Histogram("disc_live_insert_seconds",
 		"Wall time of one LiveDisC insert (grid splice + component merge).")
 	metLiveDelete = telemetry.Default().Histogram("disc_live_delete_seconds",

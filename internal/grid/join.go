@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"github.com/discdiversity/disc/internal/object"
 	"github.com/discdiversity/disc/internal/telemetry"
@@ -28,6 +29,39 @@ func (c *CSR) Row(id int) []object.Neighbor {
 // Degree returns len(Row(id)) without slicing.
 func (c *CSR) Degree(id int) int {
 	return int(c.Offsets[id+1] - c.Offsets[id])
+}
+
+// Bytes returns the memory the adjacency occupies: four bytes per
+// offset plus one packed neighbour per directed edge.
+func (c *CSR) Bytes() int64 {
+	return 4*int64(len(c.Offsets)) + int64(unsafe.Sizeof(object.Neighbor{}))*int64(len(c.Nbrs))
+}
+
+// Restrict returns the adjacency at radius r: every row keeps exactly
+// its entries with Dist <= r, in their id order. Because N_r(p) is a
+// subset of N_R(p) for r <= R and every entry carries its exact
+// distance, restricting a CSR joined at R gives the CSR a join at r
+// would emit, bit for bit, without evaluating a distance. One counting
+// pass sizes the rows, a second packs them; O(edges).
+func (c *CSR) Restrict(r float64) *CSR {
+	n := len(c.Offsets) - 1
+	out := &CSR{Offsets: make([]int32, n+1)}
+	var kept int32
+	for id := 0; id < n; id++ {
+		for _, nb := range c.Row(id) {
+			if nb.Dist <= r {
+				kept++
+			}
+		}
+		out.Offsets[id+1] = kept
+	}
+	out.Nbrs = make([]object.Neighbor, 0, kept)
+	for _, nb := range c.Nbrs {
+		if nb.Dist <= r {
+			out.Nbrs = append(out.Nbrs, nb)
+		}
+	}
+	return out
 }
 
 // edge is one undirected hit of the ε-join; it is scattered into the CSR

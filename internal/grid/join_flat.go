@@ -5,8 +5,10 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/discdiversity/disc/internal/object"
+	"github.com/discdiversity/disc/internal/telemetry"
 )
 
 // FlatJoin materialises the exact r-coverage graph with an all-pairs
@@ -32,6 +34,7 @@ import (
 // bit-identical for every worker count: edge ownership is determined
 // by u alone and each adjacency row is canonically re-sorted by id.
 func FlatJoin(f *object.FlatDataset, r float64, workers int) (*CSR, int64, error) {
+	defer telemetry.Since(metFlatJoin, time.Now())
 	return flatJoin(f, r, workers, false)
 }
 

@@ -10,6 +10,8 @@ var (
 		"Wall time of grid construction (counting-sort spatial hash) per Build call.")
 	metJoin = telemetry.Default().Histogram("disc_grid_join_seconds",
 		"Wall time of the cell-pair epsilon-join producing the CSR coverage graph.")
+	metFlatJoin = telemetry.Default().Histogram("disc_flat_join_seconds",
+		"Wall time of the batched all-pairs join producing the CSR coverage graph.")
 	metJoinEdges = telemetry.Default().Counter("disc_grid_join_edges_total",
 		"Directed coverage-graph edges emitted by epsilon-joins since process start.")
 	metLabel = telemetry.Default().Histogram("disc_component_label_seconds",

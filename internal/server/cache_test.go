@@ -20,6 +20,7 @@ import (
 	"time"
 
 	disc "github.com/discdiversity/disc"
+	"github.com/discdiversity/disc/internal/dataset"
 	"github.com/discdiversity/disc/internal/telemetry"
 )
 
@@ -266,6 +267,71 @@ func TestCacheEvictionRecomputesIdentically(t *testing.T) {
 	}
 	if stats.evictions.Value() < 10000-uint64(budget/(entryOverhead+9*int64(len(pts)))) {
 		t.Fatalf("only %d evictions", stats.evictions.Value())
+	}
+}
+
+// TestEvictedAnswersIgnoreRadiusHistory evicts answers of a cosine
+// float32 dataset while selects at other radii — wider ones first — run
+// in between, and checks that fetching a select and zooming it in and
+// out answer byte-identically to before, access counts included. A
+// zoom is evicted while its parent stays cached, so it is recomputed on
+// whatever coverage graph the interleaved selects left behind; its
+// answer must not depend on that.
+func TestEvictedAnswersIgnoreRadiusHistory(t *testing.T) {
+	ds, err := dataset.Sphere(400, 64, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	budget := int64(4 * (entryOverhead + 9*len(ds.Points) + 8*len(ds.Points)))
+	s.cache = newResultCache(budget, testCacheStats())
+	h := s.Handler()
+	create, _ := json.Marshal(map[string]any{"name": "e", "metric": "cosine", "precision": "float32", "points": ds.Points})
+	mustCall(t, h, "POST", "/v1/datasets", string(create), 201)
+
+	var sel resultBody
+	if err := json.Unmarshal(mustCall(t, h, "POST", "/v1/datasets/e/select", radiusJSON(0.1), 201), &sel); err != nil {
+		t.Fatal(err)
+	}
+	held := func(id string) bool {
+		s.cache.mu.Lock()
+		defer s.cache.mu.Unlock()
+		_, ok := s.cache.entries[id]
+		return ok
+	}
+	get := func() []byte { return mustCall(t, h, "GET", "/v1/results/"+sel.ID, "", 200) }
+	zoom := func(r float64) func() []byte {
+		return func() []byte { return mustCall(t, h, "POST", "/v1/results/"+sel.ID+"/zoom", radiusJSON(r), 201) }
+	}
+	reqs := []func() []byte{get, zoom(0.15), zoom(0.07)}
+	want := make([][]byte, len(reqs))
+	ids := make([]string, len(reqs))
+	for i, f := range reqs {
+		want[i] = f()
+		var b resultBody
+		if err := json.Unmarshal(want[i], &b); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = b.ID
+	}
+
+	next := 0.25
+	for i, f := range reqs {
+		// At least one select at another radius runs between the
+		// eviction and the recomputation.
+		for first := true; first || held(ids[i]); first = false {
+			if i > 0 {
+				get() // keep the parent cached: only the zoom is recomputed
+			}
+			mustCall(t, h, "POST", "/v1/datasets/e/select", radiusJSON(next), 201)
+			next -= 0.01
+		}
+		if i > 0 && !held(sel.ID) {
+			t.Fatal("the zoom's parent was evicted too")
+		}
+		if got := f(); !bytes.Equal(got, want[i]) {
+			t.Fatalf("request %d after eviction:\n got %s\nwant %s", i, got, want[i])
+		}
 	}
 }
 

@@ -12,13 +12,17 @@ import (
 )
 
 // Prepare eagerly builds the radius-dependent index artifacts for
-// selection radius r — the grid occupancy for IndexGrid, the occupancy
-// plus the coverage-graph CSR and its connected-component decomposition
-// for IndexCoverageGraph — without running a selection. For the
-// radius-independent backends it is a no-op. Use it before WriteSnapshot
-// to capture a warm snapshot for a radius that has not been selected at
-// yet, or at service start to pay the build cost before the first
-// request.
+// selection radius r without running a selection. For IndexGrid that
+// is the grid occupancy. For IndexCoverageGraph it makes the retained
+// graph cover r: when it does not yet, the graph is joined at r,
+// together with its connected-component decomposition, and retained
+// (unless it exceeds the retention cap); a retained graph already at
+// exactly r gains its decomposition if it has none. A retained graph
+// wider than r already serves r, and is left as it is. For the
+// radius-independent backends Prepare is a no-op. Use it before
+// WriteSnapshot to capture a warm snapshot for a radius that has not
+// been selected at yet, or at service start to pay the build cost
+// before the first request.
 func (d *Diversifier) Prepare(r float64) error {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return fmt.Errorf("disc: invalid radius %g", r)
@@ -27,10 +31,13 @@ func (d *Diversifier) Prepare(r float64) error {
 	if err != nil {
 		return err
 	}
-	if g, ok := e.(*core.ParallelGraphEngine); ok && g.Radius() == r {
-		// Populate the component cache so component-mode selections — and
-		// the snapshot's components section — are ready before first use.
+	if kept, ok := d.engine.(*core.ParallelGraphEngine); ok && kept.Radius() == r && kept.CachedComponents() == nil {
+		// e shares kept's graph; publish it, decomposition included, in
+		// kept's place so component-mode selections — and the snapshot's
+		// components section — are ready before first use.
+		g := e.(*core.ParallelGraphEngine)
 		g.Components(r)
+		d.engine = g
 	}
 	return nil
 }
@@ -41,15 +48,15 @@ func (d *Diversifier) Prepare(r float64) error {
 // precision — a Float32 diversifier persists the float32 coordinates
 // and the squared-norm cache of the embedding metrics) and the
 // configured backend with its build parameters (seed, parallelism,
-// M-tree capacity), plus whatever prepared per-radius artifacts the
-// current engine holds — the grid occupancy for IndexGrid; for
-// IndexCoverageGraph the coverage-graph CSR and (when already derived)
-// its connected-component decomposition, together with the grid
-// occupancy when the graph was grid-joined (the flat-join substrate has
-// no occupancy to persist). Backends that rebuild cheaply or
-// deterministically from the dataset (M-tree, VP-tree, R-tree, linear
-// scan, and the coverage graph's R-tree path) persist the dataset only
-// and are rebuilt on load.
+// M-tree capacity), plus whatever prepared per-radius artifacts it
+// holds — the grid occupancy for IndexGrid; for IndexCoverageGraph the
+// retained graph's CSR and (when already derived) its connected-
+// component decomposition, together with the grid occupancy when the
+// graph was grid-joined (the flat-join substrate has no occupancy to
+// persist). Backends that rebuild cheaply or deterministically from the
+// dataset (M-tree, VP-tree, R-tree, linear scan, and the coverage
+// graph's R-tree path) persist the dataset only and are rebuilt on
+// load.
 //
 // A snapshot written before any Select or Prepare call carries no
 // artifacts; LoadDiversifier then behaves like New over the same
@@ -71,10 +78,11 @@ func (d *Diversifier) WriteSnapshot(w io.Writer) error {
 			}
 			s.Graph = e.CSR()
 			s.GraphRadius = e.Radius()
-			// The component decomposition is persisted opportunistically:
-			// present whenever the engine has derived (or loaded) it —
-			// Prepare and component-mode selections both populate it — so
-			// a warm start skips the labeling pass too.
+			// The component decomposition is persisted whenever the
+			// retained graph carries it — Prepare derives it, a load
+			// installs it — so a warm start skips the labeling pass too.
+			// Selections label on their own per-request engines and
+			// leave the retained graph as it is.
 			if cp := e.CachedComponents(); cp != nil {
 				s.ComponentCount = cp.Count
 				s.ComponentLabels = cp.Label
@@ -119,11 +127,12 @@ func (d *Diversifier) SaveSnapshot(path string) error {
 // WriteSnapshot. The dataset is aliased straight out of the decoded
 // buffer (no per-point copies), and any persisted artifacts are
 // rehydrated into the same lazy-engine machinery a fresh Diversifier
-// uses: a Select or zoom at the snapshot's radius starts from the
-// loaded coverage graph or grid occupancy instead of rebuilding it,
-// and other radii degrade to exactly the rebuild rules of a fresh
-// instance. Loaded engines are bit-identical to freshly built ones —
-// same selections, same neighbour lists.
+// uses: a loaded coverage graph becomes the retained graph, so a Select
+// or zoom at any radius up to the snapshot's is restricted from it
+// without a join, and a loaded grid occupancy serves the snapshot's
+// radius without re-bucketing; other radii follow exactly the rules of
+// a fresh instance. Loaded engines are bit-identical to freshly built
+// ones — same selections, same neighbour lists.
 //
 // Options are applied on top of the snapshot's recorded configuration
 // (index, parallelism, M-tree capacity, construction seed):

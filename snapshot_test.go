@@ -142,17 +142,24 @@ func TestSnapshotWarmEngineReused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e != before {
-			t.Fatalf("%s: Select at the prepared radius rebuilt the engine", tc.name)
+		if loaded.engine != before {
+			t.Fatalf("%s: Select at the prepared radius replaced the engine", tc.name)
 		}
 		if tc.ix == IndexCoverageGraph {
+			// The coverage graph hands each request its own engine over
+			// the retained graph: it must share the loaded adjacency.
 			g, ok := e.(*core.ParallelGraphEngine)
 			if !ok {
 				t.Fatalf("%s: rehydrated engine is %T", tc.name, e)
 			}
+			if g.CSR() != before.(*core.ParallelGraphEngine).CSR() {
+				t.Fatalf("%s: Select at the prepared radius rebuilt the engine", tc.name)
+			}
 			if g.Radius() != r {
 				t.Fatalf("%s: rehydrated radius %g, want %g", tc.name, g.Radius(), r)
 			}
+		} else if e != before {
+			t.Fatalf("%s: Select at the prepared radius rebuilt the engine", tc.name)
 		}
 	}
 }

@@ -53,12 +53,13 @@ const (
 	// utilisation and fast deterministic builds. Restricted to
 	// coordinate-wise monotone metrics; every built-in metric qualifies.
 	IndexRTree
-	// IndexCoverageGraph materialises the full r-coverage graph once per
-	// radius using all cores (see WithParallelism), then answers every
-	// neighbourhood query in O(degree). The best choice when one radius
-	// is queried repeatedly, as the greedy heuristics do. For Lp metrics
-	// the graph is built by the grid ε-join (see IndexGrid) in
-	// O(n + candidate pairs).
+	// IndexCoverageGraph materialises the full r-coverage graph using
+	// all cores (see WithParallelism), then answers every neighbourhood
+	// query in O(degree). The best choice when one radius is queried
+	// repeatedly, as the greedy heuristics do. For Lp metrics the graph
+	// is built by the grid ε-join (see IndexGrid) in
+	// O(n + candidate pairs). Only the widest graph built so far is
+	// kept; graphs at smaller radii are derived from it without a join.
 	IndexCoverageGraph
 	// IndexGrid is a uniform-grid spatial hash with cell side equal to
 	// the selection radius: queries scan only the ±1 cell ring, and the

@@ -2,6 +2,7 @@ package disc
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/discdiversity/disc/internal/core"
 )
@@ -49,7 +50,7 @@ func (d *Diversifier) ZoomIn(res *Result, r float64) (*Result, error) {
 	if err := d.own(res); err != nil {
 		return nil, err
 	}
-	e, err := d.engineForRadius(r, false)
+	e, err := d.zoomEngine(res, r)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +71,7 @@ func (d *Diversifier) ZoomOut(res *Result, r float64, variant ZoomOutVariant) (*
 	if err != nil {
 		return nil, err
 	}
-	e, err := d.engineForRadius(r, false)
+	e, err := d.zoomEngine(res, r)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,7 @@ func (d *Diversifier) LocalZoomIn(res *Result, center int, r float64) (*LocalZoo
 	if err := d.own(res); err != nil {
 		return nil, err
 	}
-	e, err := d.engineForRadius(r, false)
+	e, err := d.zoomEngine(res, r)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +128,7 @@ func (d *Diversifier) LocalZoomOut(res *Result, center int, r float64) (*LocalZo
 	if err := d.own(res); err != nil {
 		return nil, err
 	}
-	e, err := d.engineForRadius(r, false)
+	e, err := d.zoomEngine(res, r)
 	if err != nil {
 		return nil, err
 	}
@@ -147,6 +148,19 @@ func localZoomFrom(lr *core.LocalResult) *LocalZoom {
 		Removed:         lr.Removed,
 		Representatives: lr.Final,
 	}
+}
+
+// zoomEngine returns the engine a zoom of res to radius r runs on: the
+// one at the larger of the two radii, which is the largest radius the
+// zoom queries — zoom-ins still query at res's radius (the regions and
+// RecomputeDistBlack), zoom-outs at r. An invalid r leaves the engine
+// at res's radius, so the zoom itself reports the error.
+func (d *Diversifier) zoomEngine(res *Result, r float64) (core.Engine, error) {
+	at := res.sol.Radius
+	if r > at && !math.IsInf(r, 1) {
+		at = r
+	}
+	return d.engineForRadius(at, false)
 }
 
 func (d *Diversifier) own(res *Result) error {
