@@ -27,7 +27,7 @@ SERVE_N ?= 2000
 SERVE_WORKERS ?= 4
 SERVE_DURATION ?= 10s
 
-.PHONY: build test lint bench bench-guard bench-serve snapshot-bench doclint kernel-props crash-props chaos-props
+.PHONY: build test lint bench bench-guard bench-serve snapshot-bench doclint kernel-props crash-props chaos-props fuzz-smoke
 
 ## build: compile every package and command
 build:
@@ -146,12 +146,21 @@ kernel-props:
 ## injectors' own contracts, the every-byte crash-prefix recovery
 ## property (recovered selection bit-identical to a from-scratch
 ## component Select over the surviving op prefix), the checkpoint
-## crash-window states, and the server's crash-restart and
-## load-shedding behaviour.
+## crash-window states, the durable create's equivalence and crash
+## windows (birth snapshot as the commit point), and the server's
+## crash-restart and load-shedding behaviour.
 crash-props:
 	$(GO) test -race -count=1 ./internal/wal ./internal/faultio
-	$(GO) test -race -count=1 -run 'TestCrashPrefixRecoveryEveryByte|TestCrashRecoveryInjectedWriter|TestCheckpointCrashStates|TestWALPoisoningOnSyncFailure|TestWALShortWriteTornTail' .
-	$(GO) test -race -count=1 -run 'TestLiveCrashRestart|TestDurableCreateRefusesLeftoverState|TestAdmissionControl|TestRequestTimeout|TestPanicRecovery|TestLiveFsyncModesOverHTTP' ./internal/server
+	$(GO) test -race -count=1 -run 'TestCrashPrefixRecoveryEveryByte|TestCrashRecoveryInjectedWriter|TestCheckpointCrashStates|TestWALPoisoningOnSyncFailure|TestWALShortWriteTornTail|TestCreateUpdater' .
+	$(GO) test -race -count=1 -run 'TestDurableCreate' ./internal/manager
+	$(GO) test -race -count=1 -run 'TestLiveCrashRestart|TestDurableCreate|TestAdmissionControl|TestRequestTimeout|TestPanicRecovery|TestLiveFsyncModesOverHTTP' ./internal/server
+
+## fuzz-smoke: a short native-fuzzing pass over the snapshot reader
+## (FuzzSnapRead: no panic on any input; an accepted snapshot
+## re-encodes to a stable file). The seed corpus and any committed
+## crashers under internal/snap/testdata/fuzz run first.
+fuzz-smoke:
+	$(GO) test ./internal/snap -run '^$$' -fuzz '^FuzzSnapRead$$' -fuzztime 20s -parallel 2
 
 ## chaos-props: the fault-isolation property suites under the race
 ## detector — randomized multi-dataset fault sweeps against a server

@@ -117,8 +117,8 @@ type options struct {
 	seed        uint64
 	prec        Precision
 
-	// Durability knobs, consumed by OpenUpdater only (see
-	// openupdater.go); inert everywhere else.
+	// Durability knobs, consumed by OpenUpdater and CreateUpdater only
+	// (see openupdater.go); inert everywhere else.
 	walSync     FsyncPolicy
 	walInterval time.Duration
 	walSegment  int64

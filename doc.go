@@ -228,8 +228,10 @@
 //
 // # Crash-safe live updates
 //
-// OpenUpdater pairs the Updater with a snapshot file and an
-// append-only write-ahead log: every Insert/Delete is checksummed and
+// CreateUpdater starts a durable dataset from seed points in one batch
+// pass and commits it with one atomic birth snapshot; OpenUpdater
+// pairs the Updater with a snapshot file and an append-only
+// write-ahead log: every Insert/Delete is checksummed and
 // appended to the log before it is acknowledged (fsync policy via
 // WithFsync — FsyncAlways means acknowledged operations survive even
 // a power cut; FsyncInterval bounds the loss window; FsyncNone defers

@@ -43,7 +43,6 @@ import (
 
 	disc "github.com/discdiversity/disc"
 	"github.com/discdiversity/disc/internal/vfs"
-	"github.com/discdiversity/disc/internal/wal"
 )
 
 // State names a dataset lifecycle state. The values are wire-stable:
@@ -110,6 +109,9 @@ type Manager struct {
 
 	mu       sync.Mutex
 	datasets map[string]*Dataset
+	// creating reserves the names of creates in progress, so two
+	// concurrent creates of one name never write the same files.
+	creating map[string]bool
 	closed   bool
 }
 
@@ -124,7 +126,7 @@ func New(cfg Config) *Manager {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 5
 	}
-	return &Manager{cfg: cfg, datasets: make(map[string]*Dataset)}
+	return &Manager{cfg: cfg, datasets: make(map[string]*Dataset), creating: make(map[string]bool)}
 }
 
 // Durable reports whether datasets are backed by on-disk state.
@@ -209,10 +211,16 @@ func (m *Manager) openOpts(metric disc.Metric) []disc.Option {
 }
 
 // Create registers a new dataset maintaining radius r under the named
-// metric, seeded with points (which may be empty). Durable managers
-// refuse names whose on-disk state a previous life left behind — that
-// is Recover's job, and seeding on top of it would corrupt the
-// recovered history (ErrExists). The dataset is ready on return.
+// metric, seeded with points (which may be empty). The points are
+// validated before any dataset file is written. A durable dataset is seeded
+// in one batch pass by disc.CreateUpdater, exactly like a memory-only
+// one: the seed is written as one birth snapshot whose atomic rename
+// commits the create, followed by an empty log. A create that fails
+// leaves nothing on disk, so a retry under the same name can succeed
+// and a restart never recovers it. Durable managers refuse names whose
+// on-disk state a previous life left behind — that is Recover's job,
+// and seeding on top of it would corrupt the recovered history
+// (ErrExists). The dataset is ready on return.
 func (m *Manager) Create(name, metricName string, r float64, points []disc.Point) (*Dataset, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
@@ -227,34 +235,44 @@ func (m *Manager) Create(name, metricName string, r float64, points []disc.Point
 		m.mu.Unlock()
 		return nil, fmt.Errorf("manager: closed")
 	}
-	if _, exists := m.datasets[name]; exists {
+	if _, exists := m.datasets[name]; exists || m.creating[name] {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
+	m.creating[name] = true
 	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		delete(m.creating, name)
+		m.mu.Unlock()
+	}()
 
 	var u *disc.Updater
 	p := m.paths(name)
 	if m.Durable() {
-		if err := m.refuseLeftoverState(name, p); err != nil {
-			return nil, err
+		// Leftover state is refused: a quarantine sidecar here, a
+		// snapshot or log segments by CreateUpdater (fs.ErrExist).
+		if _, err := m.fs().Stat(p.quar); err == nil {
+			return nil, fmt.Errorf("%w: %q is quarantined on disk (%s); run the unquarantine runbook", ErrExists, name, p.quar)
 		}
 		if m.cfg.Homes {
 			if err := m.fs().MkdirAll(p.home, 0o755); err != nil {
 				return nil, err
 			}
 		}
-		u, err = disc.OpenUpdater(p.snap, p.wal, r, m.openOpts(metric)...)
+		u, err = disc.CreateUpdater(p.snap, p.wal, points, r, m.openOpts(metric)...)
 		if err != nil {
+			if m.cfg.Homes {
+				// A failed create leaves the home empty; removing it
+				// leaves nothing at all. Best effort: the boot scan
+				// skips an empty home anyway.
+				_ = m.fs().Remove(p.home)
+			}
+			if errors.Is(err, fs.ErrExist) {
+				return nil, fmt.Errorf("%w: %q has state on disk; restart with recovery to resume it (%v)", ErrExists, name, err)
+			}
 			return nil, err
 		}
-		for _, pt := range points {
-			if _, err := u.Insert(pt); err != nil {
-				u.Close()
-				return nil, err
-			}
-		}
-		u.Flush()
 	} else {
 		u, err = disc.NewUpdater(points, r, disc.WithMetric(metric))
 		if err != nil {
@@ -284,24 +302,6 @@ func (m *Manager) Create(name, metricName string, r float64, points []disc.Point
 	setStateGauge(name, StateReady)
 	go d.supervise()
 	return d, nil
-}
-
-// refuseLeftoverState errors when durable state already exists on disk
-// under this name (checkpoint, log segments, or a quarantine sidecar).
-func (m *Manager) refuseLeftoverState(name string, p dsPaths) error {
-	fsys := m.fs()
-	if _, err := fsys.Stat(p.quar); err == nil {
-		return fmt.Errorf("%w: %q is quarantined on disk (%s); run the unquarantine runbook", ErrExists, name, p.quar)
-	}
-	if _, err := fsys.Stat(p.snap); err == nil {
-		return fmt.Errorf("%w: %q has a checkpoint on disk; restart with recovery to resume it", ErrExists, name)
-	}
-	if _, err := wal.DescribeFS(fsys, p.wal); err == nil {
-		return fmt.Errorf("%w: %q has a write-ahead log on disk; restart with recovery to resume it", ErrExists, name)
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
 }
 
 // Get returns the named dataset, or ErrNotFound.
@@ -403,7 +403,7 @@ func (m *Manager) scan() ([]string, error) {
 	for _, e := range entries {
 		n := e.Name()
 		if m.cfg.Homes {
-			if e.IsDir() {
+			if e.IsDir() && m.homeHoldsDataset(n) {
 				found[n] = true
 			}
 			continue
@@ -429,6 +429,26 @@ func (m *Manager) scan() ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+// homeHoldsDataset reports whether the home directory of name holds any
+// dataset file. A home with none is what a create that died before its
+// commit point leaves behind; it is not a dataset. An unreadable home
+// counts as one, so that recovery reports the error.
+func (m *Manager) homeHoldsDataset(name string) bool {
+	p := m.paths(name)
+	entries, err := m.fs().ReadDir(p.home)
+	if err != nil {
+		return true
+	}
+	walPrefix := filepath.Base(p.wal) + "."
+	for _, e := range entries {
+		n := e.Name()
+		if n == filepath.Base(p.snap) || n == filepath.Base(p.quar) || strings.HasPrefix(n, walPrefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // Unquarantine lifts a quarantine after an operator has repaired or

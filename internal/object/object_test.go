@@ -39,6 +39,11 @@ func TestValidatePoints(t *testing.T) {
 	if d, err := ValidatePoints([]Point{{1, 2}, {3, 4}}); err != nil || d != 2 {
 		t.Errorf("got (%d,%v)", d, err)
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := ValidatePoints([]Point{{1, 2}, {3, v}}); err == nil {
+			t.Errorf("coordinate %g accepted", v)
+		}
+	}
 }
 
 func TestMetricValues(t *testing.T) {

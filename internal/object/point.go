@@ -9,6 +9,7 @@ package object
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -63,8 +64,10 @@ type Neighbor struct {
 	Dist float64
 }
 
-// ValidatePoints checks that all points are non-empty and share the same
-// dimensionality, returning that dimensionality.
+// ValidatePoints checks that all points are non-empty, share the same
+// dimensionality and have finite coordinates, returning that
+// dimensionality. A NaN or infinite coordinate makes every distance to
+// the point meaningless, so it is refused up front.
 func ValidatePoints(pts []Point) (int, error) {
 	if len(pts) == 0 {
 		return 0, fmt.Errorf("object: empty point set")
@@ -77,6 +80,21 @@ func ValidatePoints(pts []Point) (int, error) {
 		if len(p) != d {
 			return 0, fmt.Errorf("object: point %d has dimension %d, want %d", i, len(p), d)
 		}
+		if err := CheckFinite(p); err != nil {
+			return 0, fmt.Errorf("object: point %d: %w", i, err)
+		}
 	}
 	return d, nil
+}
+
+// CheckFinite refuses a NaN or infinite coordinate. It guards the
+// points that enter the program (ValidatePoints, live inserts), not
+// DynDataset.Append, which also replays logs written before the rule.
+func CheckFinite(p Point) error {
+	for j, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("coordinate %d is %g, not a finite number", j, v)
+		}
+	}
+	return nil
 }

@@ -335,6 +335,12 @@ func TestChaosCheckpointENOSPC(t *testing.T) {
 	stop := e.hammer("beta", "gamma")
 	defer stop()
 
+	// alpha's birth snapshot: a failed checkpoint must leave it as it is.
+	snapPath := filepath.Join(e.dir, "alpha.discsnap")
+	before, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatalf("no birth snapshot before the checkpoint: %v", err)
+	}
 	e.fs.AddRule(&faultio.Rule{
 		Op: faultio.OpWrite, PathContains: "alpha.discsnap.tmp", Err: syscall.ENOSPC,
 	})
@@ -349,8 +355,8 @@ func TestChaosCheckpointENOSPC(t *testing.T) {
 	if e.fs.Fired() == 0 {
 		t.Fatal("ENOSPC rule never fired")
 	}
-	if _, err := os.Stat(filepath.Join(e.dir, "alpha.discsnap")); !os.IsNotExist(err) {
-		t.Fatalf("failed checkpoint left a snapshot behind: %v", err)
+	if after, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("failed checkpoint changed the snapshot on disk (read err %v)", err)
 	}
 	// The log is untouched by a failed snapshot write: alpha must still
 	// be fully serviceable, no recovery required.
@@ -362,8 +368,8 @@ func TestChaosCheckpointENOSPC(t *testing.T) {
 	// Space comes back: the retry must succeed where the original failed.
 	e.fs.ClearRules()
 	doJSON(t, "POST", e.ts.URL+"/v1/live/alpha/snapshot", nil, http.StatusCreated, nil)
-	if _, err := os.Stat(filepath.Join(e.dir, "alpha.discsnap")); err != nil {
-		t.Fatalf("retried checkpoint wrote no snapshot: %v", err)
+	if after, err := os.ReadFile(snapPath); err != nil || bytes.Equal(after, before) {
+		t.Fatalf("retried checkpoint wrote no new snapshot (read err %v)", err)
 	}
 	stop()
 	e.verifyAckedPrefix("beta")

@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -148,6 +149,41 @@ func TestDurableCreateRefusesLeftoverState(t *testing.T) {
 	defer ts2.Close()
 	doJSON(t, "POST", ts2.URL+"/v1/live",
 		map[string]any{"name": "feed", "radius": 0.2}, http.StatusConflict, nil)
+}
+
+// TestDurableCreateBadSeed: a seed with mixed dimensions is a 400 that
+// leaves nothing on disk, so the same name creates (201) right after,
+// and a restart recovers that dataset, not the rejected one.
+func TestDurableCreateBadSeed(t *testing.T) {
+	dir := t.TempDir()
+	srv := New(WithLiveDir(dir))
+	ts := httptest.NewServer(srv.Handler())
+	doJSON(t, "POST", ts.URL+"/v1/live",
+		map[string]any{"name": "x", "radius": 0.2, "points": [][]float64{{0, 0}, {1, 1}, {5}}},
+		http.StatusBadRequest, nil)
+	if es, err := os.ReadDir(dir); err != nil || len(es) != 0 {
+		t.Fatalf("rejected create left %d entries on disk (%v)", len(es), err)
+	}
+	doJSON(t, "POST", ts.URL+"/v1/live",
+		map[string]any{"name": "x", "radius": 0.2, "points": [][]float64{{0, 0}, {1, 1}, {5, 5}}},
+		http.StatusCreated, nil)
+	ts.Close()
+	srv.Close()
+
+	srv2 := New(WithLiveDir(dir))
+	if n, err := srv2.RestoreLive(); err != nil || n != 1 {
+		t.Fatalf("RestoreLive = (%d, %v), want (1, nil)", n, err)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	defer srv2.Close()
+	var info struct {
+		Live int `json:"live"`
+	}
+	doJSON(t, "GET", ts2.URL+"/v1/live/x", nil, http.StatusOK, &info)
+	if info.Live != 3 {
+		t.Fatalf("recovered live = %d, want 3", info.Live)
+	}
 }
 
 // TestMemoryOnlyCheckpointRefused: the checkpoint endpoint is a

@@ -949,7 +949,11 @@ func writeStorageFault(w http.ResponseWriter, name string, err error) {
 // handleCreateLive builds an incremental maintainer, optionally seeded
 // with points (a non-empty seed runs the batch pipeline once, so the
 // first published selection is exactly the batch selection). The
-// maintainer is owned by the dataset manager from birth.
+// maintainer is owned by the dataset manager from birth. On a durable
+// server the seed is committed by one atomic birth snapshot (see
+// manager.Create): a 201 means the whole seed is on disk, and any
+// failure — a bad seed is a 400, checked before anything touches disk —
+// leaves nothing behind, so the same name can be created again.
 func (s *Server) handleCreateLive(w http.ResponseWriter, r *http.Request) {
 	var req createLiveRequest
 	if err := s.decodeJSON(r, &req); err != nil {
@@ -1240,19 +1244,30 @@ func (s *Server) handleLiveSelection(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// Both selections are immutable once published, so they are encoded
+	// in place, not copied.
 	if v.Upd != nil {
 		ids := v.Upd.Selection()
 		writeJSON(w, http.StatusOK, liveSelectionBody{
 			Size:    len(ids),
 			Pending: v.Upd.Pending(),
-			IDs:     append([]int(nil), ids...),
+			IDs:     wireIDs(ids),
 			State:   string(v.State),
 		})
 		return
 	}
 	writeJSON(w, http.StatusOK, liveSelectionBody{
 		Size:  len(v.Deg.Selection),
-		IDs:   append([]int(nil), v.Deg.Selection...),
+		IDs:   wireIDs(v.Deg.Selection),
 		State: string(v.State),
 	})
+}
+
+// wireIDs maps an empty selection to nil, so it encodes as null, as it
+// always has.
+func wireIDs(ids []int) []int {
+	if len(ids) == 0 {
+		return nil
+	}
+	return ids
 }

@@ -661,6 +661,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 			if s.Metric, err = d.str(off + length); err != nil {
 				return nil, fmt.Errorf("snap: dataset section truncated")
 			}
+			if s.Metric == "" {
+				return nil, fmt.Errorf("snap: dataset section names no metric")
+			}
 			d.pad8()
 			s.N, s.Dim = int(n), int(dim)
 			if length != (d.off-off)+8*s.N*s.Dim {
@@ -683,6 +686,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 			}
 			if s.Metric, err = d.str(off + length); err != nil {
 				return nil, fmt.Errorf("snap: dataset32 section truncated")
+			}
+			if s.Metric == "" {
+				return nil, fmt.Errorf("snap: dataset32 section names no metric")
 			}
 			d.pad8()
 			s.N, s.Dim = int(n), int(dim)

@@ -15,7 +15,7 @@ import (
 // points: dataset always, grid occupancy and coverage-graph CSR when
 // withGrid/withGraph are set (built by the real grid code so the
 // layouts are genuine).
-func buildSnapshot(t *testing.T, n, dim int, r float64, seed uint64, withGrid, withGraph, withComps bool) *Snapshot {
+func buildSnapshot(t testing.TB, n, dim int, r float64, seed uint64, withGrid, withGraph, withComps bool) *Snapshot {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed))
 	pts := make([]object.Point, n)
@@ -65,7 +65,7 @@ func buildSnapshot(t *testing.T, n, dim int, r float64, seed uint64, withGrid, w
 	return s
 }
 
-func encode(t *testing.T, s *Snapshot) []byte {
+func encode(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, s); err != nil {
@@ -335,7 +335,7 @@ func retable(data []byte) {
 // buildSnapshot32 assembles a float32-precision snapshot over random
 // points under m, with the optional flat-joined coverage graph (no grid
 // section — the flat substrate has none).
-func buildSnapshot32(t *testing.T, n, dim int, r float64, seed uint64, m object.Metric, withGraph bool) *Snapshot {
+func buildSnapshot32(t testing.TB, n, dim int, r float64, seed uint64, m object.Metric, withGraph bool) *Snapshot {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, seed))
 	pts := make([]object.Point, n)

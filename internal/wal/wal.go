@@ -538,6 +538,26 @@ func DescribeFS(fsys vfs.FS, path string) (*Info, error) {
 	return &Info{Epoch: h.epoch, Radius: h.radius, Metric: h.metric, Segments: len(segs)}, nil
 }
 
+// Remove deletes every segment of the log at path and syncs the
+// directory. It discards a log that never acknowledged anything — one
+// whose creation failed part-way — and must not be used on a log
+// recovery may still need.
+func Remove(fsys vfs.FS, path string) error {
+	segs, err := listSegments(fsys, path)
+	if err != nil || len(segs) == 0 {
+		return err
+	}
+	for _, sg := range segs {
+		if err := fsys.Remove(sg.name); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+	}
+	if err := fsys.SyncDir(filepath.Dir(segs[0].name)); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
+}
+
 // Open recovers the log at path for epoch opts.Epoch and opens it for
 // appending, returning the recovered operations in append order.
 // Segments from older epochs (leftovers of a checkpoint that crashed

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
@@ -64,8 +66,9 @@ func FsyncPolicyByName(name string) (FsyncPolicy, error) {
 	}
 }
 
-// WithFsync sets the write-ahead-log fsync policy of OpenUpdater
-// (default FsyncAlways). Ignored by constructors that take no log.
+// WithFsync sets the write-ahead-log fsync policy of OpenUpdater and
+// CreateUpdater (default FsyncAlways). Ignored by constructors that
+// take no log.
 func WithFsync(p FsyncPolicy) Option {
 	return func(o *options) error {
 		switch p {
@@ -111,12 +114,13 @@ func withWALOpenFile(open func(name string, create bool) (wal.File, error)) Opti
 	}
 }
 
-// WithStorageFS routes every file operation OpenUpdater and the
-// returned Updater perform — the snapshot read, WAL segment I/O, and
-// Checkpoint's atomic snapshot save — through fsys instead of the real
-// filesystem. The dataset manager uses it to run recovery and
-// checkpointing under scheduled fault injection; production callers
-// never need it. Ignored by constructors that take no files.
+// WithStorageFS routes every file operation OpenUpdater, CreateUpdater
+// and the returned Updater perform — the snapshot read, WAL segment
+// I/O, and the atomic snapshot saves of CreateUpdater and Checkpoint —
+// through fsys instead of the real filesystem. The dataset manager uses
+// it to run creation, recovery and checkpointing under scheduled fault
+// injection; production callers never need it. Ignored by constructors
+// that take no files.
 func WithStorageFS(fsys vfs.FS) Option {
 	return func(o *options) error {
 		if fsys == nil {
@@ -127,21 +131,23 @@ func WithStorageFS(fsys vfs.FS) Option {
 	}
 }
 
-// OpenUpdater opens (or creates) a crash-safe Updater backed by a
-// snapshot file and a write-ahead log: the state at snapshotPath is
-// loaded (when present), the log segments at walPath are replayed over
-// it, and every subsequent Insert/Delete is appended to the log before
-// it is acknowledged, under the configured FsyncPolicy. Checkpoint
-// writes a fresh snapshot crash-atomically and truncates the log; a
-// process killed at any instant reopens with OpenUpdater to exactly
-// the acknowledged state (see docs/DURABILITY.md for the precise
+// OpenUpdater opens a crash-safe Updater backed by a snapshot file and
+// a write-ahead log: the state at snapshotPath is loaded (when
+// present), the log segments at walPath are replayed over it, and
+// every subsequent Insert/Delete is appended to the log before it is
+// acknowledged, under the configured FsyncPolicy. Checkpoint writes a
+// fresh snapshot crash-atomically and truncates the log; a process
+// killed at any instant reopens with OpenUpdater to exactly the
+// acknowledged state (see docs/DURABILITY.md for the precise
 // guarantees per fsync policy).
 //
 // When neither file exists the updater starts empty and the first
-// segment of the log is created. A snapshot written by a previous
-// Checkpoint records the log epoch it begins, which is how recovery
-// pairs the two files; a log whose epoch is ahead of the snapshot
-// (or present with no snapshot at all after a checkpoint) is refused
+// segment of the log is created; CreateUpdater is the constructor for
+// a new dataset with seed points. A snapshot records the log epoch it
+// begins — 0 for the birth snapshot CreateUpdater writes, the new
+// epoch for one written by Checkpoint — which is how recovery pairs
+// the two files; a log whose epoch is ahead of the snapshot (or
+// present with no snapshot at all after a checkpoint) is refused
 // rather than silently dropping acknowledged updates.
 //
 // Ids are dense and never reused within a process lifetime, but a
@@ -150,9 +156,9 @@ func WithStorageFS(fsys vfs.FS) Option {
 // after reconnecting, exactly as they must after a snapshot load.
 //
 // Respected options: everything NewUpdater takes, plus WithFsync,
-// WithFsyncInterval and WithWALSegmentBytes. The snapshot must be a
-// float64 coverage-graph snapshot (what Updater.Checkpoint and
-// Updater.WriteSnapshot write).
+// WithFsyncInterval, WithWALSegmentBytes and WithStorageFS. The
+// snapshot must be a float64 coverage-graph snapshot (what
+// Updater.Checkpoint, Updater.WriteSnapshot and CreateUpdater write).
 //
 // The durable path feeds the process-wide telemetry registry: appends,
 // fsyncs, rotations and recovery replays are counted and timed
@@ -259,10 +265,93 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 		u.live = live
 	}
 
+	if err := u.attachLog(walPath, epoch, &o, fsys); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// CreateUpdater creates a new crash-safe Updater seeded with points
+// (which may be empty): the durable counterpart of NewUpdater, and the
+// way to start a dataset that OpenUpdater later recovers. A non-empty
+// seed runs the batch pipeline once, exactly like NewUpdater, and is
+// then written to snapshotPath crash-atomically as a birth snapshot at
+// log epoch 0; an empty epoch-0 log is created at walPath after it.
+// The rename of the birth snapshot is the commit point: a crash before
+// it leaves nothing, a crash after it leaves the whole seed, and
+// OpenUpdater recovers it with or without the log. An empty seed
+// writes no snapshot, only the empty log.
+//
+// CreateUpdater refuses paths that already hold a snapshot or log
+// segments (the error wraps fs.ErrExist): creating over them would
+// overwrite or extend state it does not own. On any error nothing it
+// wrote is left behind, so a retry with the same paths can succeed.
+//
+// Points are validated before any file is touched. The seed costs one
+// snapshot write and one log creation whatever its size, where
+// inserting the points one by one into an OpenUpdater would append
+// (and, under FsyncAlways, fsync) once per point.
+//
+// Respected options: the same as OpenUpdater.
+func CreateUpdater(snapshotPath, walPath string, points []Point, r float64, opts ...Option) (*Updater, error) {
+	o := defaultOptions()
+	for _, opt := range opts {
+		if err := opt(&o); err != nil {
+			return nil, err
+		}
+	}
+	fsys := o.storageFS
+	if fsys == nil {
+		fsys = vfs.OS
+	}
+	if _, err := fsys.Stat(snapshotPath); err == nil {
+		return nil, fmt.Errorf("disc: create: snapshot %s already exists: %w", snapshotPath, fs.ErrExist)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("disc: create: %w", err)
+	}
+	if _, err := wal.DescribeFS(fsys, walPath); err == nil {
+		return nil, fmt.Errorf("disc: create: log %s already exists: %w", walPath, fs.ErrExist)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("disc: create: %w", err)
+	}
+
+	u, err := newUpdater(points, r, &o)
+	if err != nil {
+		return nil, err
+	}
+	if len(points) > 0 {
+		// u is not shared yet, so buildSnapshot needs no lock.
+		s, _, err := u.buildSnapshot()
+		if err != nil {
+			return nil, err
+		}
+		if err := saveSnapshotFile(fsys, snapshotPath, s); err != nil {
+			return nil, err
+		}
+	}
+	if err := u.attachLog(walPath, 0, &o, fsys); err != nil {
+		// Nothing was acknowledged: take back what was written, so a
+		// restart does not recover a dataset whose create failed. The
+		// cleanup is best effort; the error to report is err.
+		_ = wal.Remove(fsys, walPath)
+		if len(points) > 0 {
+			_ = fsys.Remove(snapshotPath)
+			_ = fsys.SyncDir(filepath.Dir(snapshotPath))
+		}
+		return nil, err
+	}
+	return u, nil
+}
+
+// attachLog opens the write-ahead log at walPath for epoch, replays its
+// records over u's state and makes u durable. u's points occupy dense
+// ids 0..n-1 (loaded from a snapshot, seeded, or none), and the log's
+// ids continue from n.
+func (u *Updater) attachLog(walPath string, epoch uint64, o *options, fsys vfs.FS) error {
 	log, ops, err := wal.Open(walPath, wal.Options{
 		Epoch:        epoch,
-		Radius:       r,
-		Metric:       metric.Name(),
+		Radius:       u.live.Radius(),
+		Metric:       u.metric.Name(),
 		Sync:         o.walSync.walMode(),
 		Interval:     o.walInterval,
 		SegmentBytes: o.walSegment,
@@ -270,29 +359,27 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 		FS:           o.storageFS,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	// Replay. The snapshot's points occupy dense ids 0..n-1 and log ids
-	// continue from there, so replayed inserts must land exactly on
-	// their recorded ids — any drift means the log does not belong to
-	// this snapshot.
+	// Replay. Inserts must land exactly on their recorded ids — any
+	// drift means the log does not belong to this snapshot.
 	for i, op := range ops {
 		switch op.Kind {
 		case wal.OpInsert:
 			id, err := u.live.Insert(object.Point(op.Point))
 			if err != nil {
 				log.Close()
-				return nil, fmt.Errorf("disc: open: replaying log record %d: %w", i, err)
+				return fmt.Errorf("disc: open: replaying log record %d: %w", i, err)
 			}
 			if int64(id) != op.ID {
 				log.Close()
-				return nil, fmt.Errorf("disc: open: log record %d inserts id %d but replay assigned %d; the log does not extend this snapshot", i, op.ID, id)
+				return fmt.Errorf("disc: open: log record %d inserts id %d but replay assigned %d; the log does not extend this snapshot", i, op.ID, id)
 			}
 		case wal.OpDelete:
 			if err := u.live.Delete(int(op.ID)); err != nil {
 				log.Close()
-				return nil, fmt.Errorf("disc: open: replaying log record %d: %w", i, err)
+				return fmt.Errorf("disc: open: replaying log record %d: %w", i, err)
 			}
 		}
 	}
@@ -310,7 +397,7 @@ func OpenUpdater(snapshotPath, walPath string, r float64, opts ...Option) (*Upda
 	u.logNext = int64(slots)
 	u.log = log
 	u.fs = fsys
-	return u, nil
+	return nil
 }
 
 // DescribeDurable reports the identity an existing write-ahead log was

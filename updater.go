@@ -61,9 +61,9 @@ type Updater struct {
 	seed        uint64
 
 	// Durability state, nil/zero for updaters without a write-ahead log
-	// (see OpenUpdater). epochID maps in-memory ids to log-space ids:
-	// identity at open, rebuilt from the compaction remap at every
-	// Checkpoint. logNext is the next log id to assign. A failed append
+	// (see OpenUpdater and CreateUpdater). epochID maps in-memory ids to
+	// log-space ids: identity at open, rebuilt from the compaction remap
+	// at every Checkpoint. logNext is the next log id to assign. A failed append
 	// or rotation poisons the log (the file may hold a torn frame), so
 	// all further mutations fail rather than silently diverging from
 	// the recovered state.
@@ -72,7 +72,7 @@ type Updater struct {
 	logNext int64
 	closed  bool
 	// fs is the storage filesystem for checkpoint snapshot writes (set
-	// by OpenUpdater; nil means the real filesystem).
+	// by OpenUpdater and CreateUpdater; nil means the real filesystem).
 	fs vfs.FS
 }
 
@@ -94,6 +94,12 @@ func NewUpdater(points []Point, r float64, opts ...Option) (*Updater, error) {
 			return nil, err
 		}
 	}
+	return newUpdater(points, r, &o)
+}
+
+// newUpdater is NewUpdater over already-applied options; CreateUpdater
+// seeds a durable updater through it too.
+func newUpdater(points []Point, r float64, o *options) (*Updater, error) {
 	if r < 0 || math.IsNaN(r) || math.IsInf(r, 0) {
 		return nil, fmt.Errorf("disc: invalid radius %g", r)
 	}
@@ -134,14 +140,18 @@ func NewUpdater(points []Point, r float64, opts ...Option) (*Updater, error) {
 // Insert adds p and returns its assigned id. The affected component
 // (the union of the components of p's in-range neighbours) is marked
 // dirty; the published selection is unchanged until Flush. A durable
-// updater (OpenUpdater) appends the op to its write-ahead log — under
+// updater (OpenUpdater, CreateUpdater) appends the op to its write-ahead log — under
 // the configured fsync policy — before returning; an error means the
-// op is not acknowledged and may not survive a restart.
+// op is not acknowledged and may not survive a restart. A point with a
+// NaN or infinite coordinate is refused.
 func (u *Updater) Insert(p Point) (int, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if u.closed {
 		return 0, fmt.Errorf("disc: updater is closed")
+	}
+	if err := object.CheckFinite(p); err != nil {
+		return 0, fmt.Errorf("disc: %w", err)
 	}
 	id, err := u.live.Insert(p)
 	if err != nil || u.log == nil {
@@ -318,6 +328,18 @@ func (u *Updater) buildSnapshot() (*snap.Snapshot, []int32, error) {
 	}, remap, nil
 }
 
+// saveSnapshotFile writes s to path crash-atomically through fsys (nil
+// means the real filesystem): the one snapshot save of checkpoints and
+// of CreateUpdater's birth snapshot.
+func saveSnapshotFile(fsys vfs.FS, path string, s *snap.Snapshot) error {
+	return snap.WriteFileAtomicFS(fsys, path, func(w io.Writer) error {
+		if err := snap.Write(w, s); err != nil {
+			return fmt.Errorf("disc: snapshot: %w", err)
+		}
+		return nil
+	})
+}
+
 // SaveSnapshot writes the compacted state to path crash-atomically
 // (temp file + fsync + rename + parent-directory fsync). For a durable
 // updater this is a full Checkpoint — the write-ahead log is rotated
@@ -351,12 +373,7 @@ func (u *Updater) checkpointLocked(path string) error {
 		return err
 	}
 	if u.log == nil {
-		return snap.WriteFileAtomicFS(u.fs, path, func(w io.Writer) error {
-			if err := snap.Write(w, s); err != nil {
-				return fmt.Errorf("disc: snapshot: %w", err)
-			}
-			return nil
-		})
+		return saveSnapshotFile(u.fs, path, s)
 	}
 	newEpoch := u.log.Epoch() + 1
 	s.WALEpoch = newEpoch
@@ -364,12 +381,7 @@ func (u *Updater) checkpointLocked(path string) error {
 	// recovery sees a snapshot at the new epoch next to segments of the
 	// old one — which it discards as fully covered, exactly right,
 	// because the snapshot already contains every op they hold.
-	if err := snap.WriteFileAtomicFS(u.fs, path, func(w io.Writer) error {
-		if err := snap.Write(w, s); err != nil {
-			return fmt.Errorf("disc: snapshot: %w", err)
-		}
-		return nil
-	}); err != nil {
+	if err := saveSnapshotFile(u.fs, path, s); err != nil {
 		return err
 	}
 	if err := u.log.Rotate(newEpoch); err != nil {
@@ -393,7 +405,7 @@ func (u *Updater) checkpointLocked(path string) error {
 }
 
 // Durable reports whether the updater is backed by a write-ahead log
-// (constructed by OpenUpdater).
+// (constructed by OpenUpdater or CreateUpdater).
 func (u *Updater) Durable() bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
